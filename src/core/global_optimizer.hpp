@@ -7,6 +7,13 @@
 // dropped entirely, i.e. the next invocation cold-starts), until the peak
 // is flattened. Every downgrade is tallied in the priority structure so the
 // burden rotates across models instead of repeatedly hitting the same one.
+//
+// Within one peak minute, t and the trackers are fixed, so each kept model's
+// Ip is computed once and its Ai once per variant; a round rescores only the
+// downgraded model, or every kept model from cached components when the
+// priority min/max moved. The peak test reads the schedule's exact memory
+// aggregate. Rounds are O(K) instead of O(F + K*W), with results bitwise
+// equal to rescoring everything every round (docs/PERFORMANCE.md).
 
 #include <cstdint>
 #include <vector>
@@ -60,6 +67,8 @@ class GlobalOptimizer {
   };
 
   explicit GlobalOptimizer(std::size_t model_count);  // default Config
+  /// Throws std::invalid_argument when a utility weight is NaN or infinite
+  /// (every Uv would be NaN and the argmin would silently pick kept[0]).
   GlobalOptimizer(std::size_t model_count, Config config);
 
   /// Runs Algorithm 2 for minute t: records the demand memory of minute t,
@@ -75,13 +84,11 @@ class GlobalOptimizer {
   /// flatten_peak's bookkeeping off the allocator.
   void reserve_horizon(std::size_t minutes) { demand_.reserve(minutes); }
 
-  /// Utility score for function f keeping variant `variant` alive at t,
-  /// given a pre-normalized priority vector.
-  [[nodiscard]] UtilityComponents score(trace::FunctionId f, std::size_t variant,
-                                        trace::Minute t,
-                                        const sim::Deployment& deployment,
-                                        const std::vector<double>& normalized_priority,
-                                        const std::vector<InterArrivalTracker>& trackers) const;
+  /// Ip: probability f is invoked during the rest of its keep-alive window
+  /// at minute t (0 once the window since its last invocation has passed).
+  [[nodiscard]] double invocation_probability(
+      trace::FunctionId f, trace::Minute t,
+      const std::vector<InterArrivalTracker>& trackers) const;
 
   /// Pre-resolved optimizer.* handle bundle (metrics_registry.hpp): bound
   /// once in set_observer, bumped on the flatten path, flushed at the
@@ -111,9 +118,19 @@ class GlobalOptimizer {
   const obs::Observer* obs_ = nullptr;
   Metrics metrics_;
 
-  /// Reused across flatten_peak rounds (allocation-free hot path).
-  std::vector<std::pair<trace::FunctionId, std::size_t>> kept_buffer_;
-  std::vector<double> priority_buffer_;
+  /// A model kept alive at the peak minute, with its cached Uv components.
+  struct KeptEntry {
+    trace::FunctionId f;
+    std::size_t variant;
+    double ai;  // Ai of (f, variant)
+    double ip;  // Ip of f at t; trackers are constant within the minute
+    double uv;
+  };
+
+  void rescore(KeptEntry& e) const;
+
+  /// Reused across peak minutes (reserved up front: allocation-free).
+  std::vector<KeptEntry> kept_;
 };
 
 }  // namespace pulse::core

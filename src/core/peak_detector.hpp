@@ -42,7 +42,15 @@ class PeakDetector {
 
   /// The ISPEAK predicate of Algorithm 1.
   [[nodiscard]] bool is_peak(double current_memory, double prior_memory) const noexcept {
-    return current_memory > prior_memory + config_.memory_threshold * prior_memory;
+    return current_memory > peak_limit(prior_memory);
+  }
+
+  /// P_KaM + KM_T * P_KaM: the memory a minute must exceed to be a peak.
+  /// is_peak is defined through this one expression, so a caller testing
+  /// `memory > peak_limit(prior)` some other way (e.g. an exact schedule
+  /// aggregate) decides exactly what is_peak would.
+  [[nodiscard]] double peak_limit(double prior_memory) const noexcept {
+    return prior_memory + config_.memory_threshold * prior_memory;
   }
 
   /// P_KaM for minute t given the recorded history (minutes < t).

@@ -33,13 +33,23 @@ class PriorityStructure {
   /// Hot loops reuse one buffer across rounds.
   void normalized_into(std::vector<double>& out) const;
 
-  /// Normalized priority of a single model (computes the full
-  /// normalization; use normalized() when scoring many models at once).
+  /// Normalized priority of a single model in O(1): Equation 1 against the
+  /// incrementally tracked min/max, bitwise equal to normalized()[f].
   [[nodiscard]] double normalized_priority(trace::FunctionId f) const;
+
+  /// Smallest / largest downgrade count over all models (0 when empty).
+  [[nodiscard]] std::uint64_t min_count() const noexcept { return min_; }
+  [[nodiscard]] std::uint64_t max_count() const noexcept { return max_; }
 
  private:
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
+  // Counts only ever grow by one, so the minimum rises only when its last
+  // holder is downgraded; the O(F) recount that follows happens at most
+  // once per F downgrades on average.
+  std::uint64_t min_ = 0;
+  std::uint64_t max_ = 0;
+  std::size_t at_min_ = 0;  // models whose count equals min_
 };
 
 }  // namespace pulse::core

@@ -179,9 +179,10 @@ TEST_F(GlobalOptimizerTest, ScoreComponentsInRange) {
   trackers_[0].record(3);
   trackers_[0].record(6);
   GlobalOptimizer opt(2, GlobalOptimizer::Config{});
-  const std::vector<double> pr{0.5, 0.0};
   for (std::size_t v = 0; v < 2; ++v) {
-    const UtilityComponents u = opt.score(0, v, 7, deployment_, pr, trackers_);
+    // The components flatten_peak caches for a kept model (Pr preset).
+    const UtilityComponents u{deployment_.family_of(0).accuracy_improvement(v), 0.5,
+                              opt.invocation_probability(0, 7, trackers_)};
     EXPECT_GE(u.accuracy_improvement, 0.0);
     EXPECT_LE(u.accuracy_improvement, 1.0);
     EXPECT_GE(u.invocation_probability, 0.0);
@@ -195,10 +196,8 @@ TEST_F(GlobalOptimizerTest, ScoreComponentsInRange) {
 TEST_F(GlobalOptimizerTest, IpZeroOutsideKeepAliveWindow) {
   trackers_[0].record(0);
   GlobalOptimizer opt(2, GlobalOptimizer::Config{});
-  const std::vector<double> pr{0.0, 0.0};
   // 15 minutes after the last invocation: beyond the 10-minute window.
-  const UtilityComponents u = opt.score(0, 1, 15, deployment_, pr, trackers_);
-  EXPECT_DOUBLE_EQ(u.invocation_probability, 0.0);
+  EXPECT_DOUBLE_EQ(opt.invocation_probability(0, 15, trackers_), 0.0);
 }
 
 TEST(UtilityComponents, ValueIsSumOfComponents) {

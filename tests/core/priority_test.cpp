@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "util/rng.hpp"
+
 namespace pulse::core {
 namespace {
 
@@ -74,6 +81,31 @@ TEST(Priority, NormalizedPriorityMatchesVector) {
   const auto n = p.normalized();
   for (std::size_t f = 0; f < 3; ++f) {
     EXPECT_DOUBLE_EQ(p.normalized_priority(f), n[f]);
+  }
+}
+
+TEST(Priority, TrackedMinMaxMatchesFullNormalization) {
+  // Random downgrade sequences, including ones where every model reaches
+  // the minimum (the tracked minimum must rise and recount): after each
+  // downgrade the O(1) per-model value equals the full normalization bit
+  // for bit.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Pcg32 rng(seed);
+    const std::size_t n = 1 + rng.bounded(12);
+    PriorityStructure p(n);
+    for (int step = 0; step < 200; ++step) {
+      p.record_downgrade(rng.bounded(static_cast<std::uint32_t>(n)));
+      std::vector<std::uint64_t> counts(n);
+      for (std::size_t f = 0; f < n; ++f) counts[f] = p.downgrade_count(f);
+      const auto [lo, hi] = std::minmax_element(counts.begin(), counts.end());
+      ASSERT_EQ(p.min_count(), *lo);
+      ASSERT_EQ(p.max_count(), *hi);
+      const auto full = p.normalized();
+      for (std::size_t f = 0; f < n; ++f) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(p.normalized_priority(f)),
+                  std::bit_cast<std::uint64_t>(full[f]));
+      }
+    }
   }
 }
 

@@ -7,18 +7,13 @@
 
 #include "policies/factory.hpp"
 #include "trace/workload.hpp"
+#include "support/temp_dir.hpp"
 
 namespace pulse::exp {
 namespace {
 
 class ArtifactTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "pulse_artifact_test";
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   sim::EnsembleResult small_ensemble() {
     trace::WorkloadConfig config;
     config.function_count = 4;
@@ -31,7 +26,9 @@ class ArtifactTest : public ::testing::Test {
                              [] { return policies::make_policy("pulse"); }, ec);
   }
 
-  std::filesystem::path dir_;
+  test::ScopedTempDir tmp_;
+  // Not created here: write_artifact_files must create its output directory.
+  std::filesystem::path dir_ = tmp_.path() / "artifacts";
 };
 
 TEST_F(ArtifactTest, WritesThreeFilesWithArtifactNames) {

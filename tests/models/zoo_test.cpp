@@ -6,6 +6,7 @@
 
 #include "sim/cost_model.hpp"
 #include "util/csv.hpp"
+#include "support/temp_dir.hpp"
 
 namespace pulse::models {
 namespace {
@@ -29,7 +30,8 @@ TEST(Zoo, BuiltinVariantCountsMatchTableIV) {
 }
 
 TEST(Zoo, GptNumbersMatchTableI) {
-  const ModelFamily& gpt = ModelZoo::builtin().family_by_name("GPT");
+  const ModelZoo zoo = ModelZoo::builtin();
+  const ModelFamily& gpt = zoo.family_by_name("GPT");
   EXPECT_DOUBLE_EQ(gpt.variant(0).warm_service_time_s, 12.90);
   EXPECT_DOUBLE_EQ(gpt.variant(1).warm_service_time_s, 22.50);
   EXPECT_DOUBLE_EQ(gpt.variant(2).warm_service_time_s, 23.66);
@@ -39,7 +41,8 @@ TEST(Zoo, GptNumbersMatchTableI) {
 
 TEST(Zoo, YoloLowestAccuracyMatchesPaperQuote) {
   // §III-B: "YOLO's lowest accuracy variant has an accuracy of 56.8%".
-  const ModelFamily& yolo = ModelZoo::builtin().family_by_name("YOLO");
+  const ModelZoo zoo = ModelZoo::builtin();
+  const ModelFamily& yolo = zoo.family_by_name("YOLO");
   EXPECT_DOUBLE_EQ(yolo.lowest().accuracy_pct, 56.8);
 }
 
@@ -56,7 +59,8 @@ TEST(Zoo, KeepAliveCostsReproduceTableI) {
 
 TEST(Zoo, MemoryFootprintsInPaperRange) {
   // §III-A: model footprints range between ~300 and 3500 MB.
-  for (const auto& family : ModelZoo::builtin().families()) {
+  const ModelZoo zoo = ModelZoo::builtin();
+  for (const auto& family : zoo.families()) {
     for (const auto& v : family.variants()) {
       EXPECT_GE(v.memory_mb, 250.0) << v.name;
       EXPECT_LE(v.memory_mb, 3600.0) << v.name;
@@ -65,7 +69,8 @@ TEST(Zoo, MemoryFootprintsInPaperRange) {
 }
 
 TEST(Zoo, ColdStartsGrowWithMemory) {
-  for (const auto& family : ModelZoo::builtin().families()) {
+  const ModelZoo zoo = ModelZoo::builtin();
+  for (const auto& family : zoo.families()) {
     for (std::size_t v = 1; v < family.variant_count(); ++v) {
       if (family.variant(v).memory_mb > family.variant(v - 1).memory_mb) {
         EXPECT_GT(family.variant(v).cold_start_time_s,
@@ -92,10 +97,10 @@ TEST(Zoo, FamilyIndexOutOfRangeThrows) {
 
 TEST(Zoo, CsvRoundTrip) {
   const ModelZoo zoo = ModelZoo::builtin();
-  const auto path = std::filesystem::temp_directory_path() / "pulse_zoo_test.csv";
+  const test::ScopedTempDir tmp;
+  const auto path = tmp.path() / "zoo.csv";
   zoo.save_csv(path);
   const ModelZoo back = ModelZoo::load_csv(path);
-  std::filesystem::remove(path);
 
   ASSERT_EQ(back.family_count(), zoo.family_count());
   for (std::size_t i = 0; i < zoo.family_count(); ++i) {
@@ -114,18 +119,19 @@ TEST(Zoo, CsvRoundTrip) {
 }
 
 TEST(Zoo, LoadCsvMissingColumnsThrows) {
-  const auto path = std::filesystem::temp_directory_path() / "pulse_zoo_bad.csv";
+  const test::ScopedTempDir tmp;
+  const auto path = tmp.path() / "zoo_bad.csv";
   {
     util::CsvTable t({"family", "variant"});
     t.add_row({"X", "y"});
     t.write_file(path);
   }
   EXPECT_THROW(ModelZoo::load_csv(path), std::runtime_error);
-  std::filesystem::remove(path);
 }
 
 TEST(Zoo, VariantsSortedByAccuracyWithinEveryFamily) {
-  for (const auto& family : ModelZoo::builtin().families()) {
+  const ModelZoo zoo = ModelZoo::builtin();
+  for (const auto& family : zoo.families()) {
     for (std::size_t v = 1; v < family.variant_count(); ++v) {
       EXPECT_GE(family.variant(v).accuracy_pct, family.variant(v - 1).accuracy_pct);
     }
@@ -135,7 +141,8 @@ TEST(Zoo, VariantsSortedByAccuracyWithinEveryFamily) {
 TEST(Zoo, HigherQualityCostsMoreToKeepAlive) {
   // The design trade-off of Table I: within a family, quality raises the
   // keep-alive footprint.
-  for (const auto& family : ModelZoo::builtin().families()) {
+  const ModelZoo zoo = ModelZoo::builtin();
+  for (const auto& family : zoo.families()) {
     for (std::size_t v = 1; v < family.variant_count(); ++v) {
       EXPECT_GT(family.variant(v).memory_mb, family.variant(v - 1).memory_mb)
           << family.name();

@@ -6,18 +6,13 @@
 #include <fstream>
 
 #include "trace/workload.hpp"
+#include "support/temp_dir.hpp"
 
 namespace pulse::trace {
 namespace {
 
 class AzureFormatTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "pulse_azure_test";
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   /// Writes a minimal day file with given function rows; each row is
   /// (owner, app, fn, minute -> count map).
   std::filesystem::path write_day(
@@ -42,7 +37,8 @@ class AzureFormatTest : public ::testing::Test {
     return path;
   }
 
-  std::filesystem::path dir_;
+  test::ScopedTempDir tmp_;
+  std::filesystem::path dir_ = tmp_.path();
 };
 
 TEST_F(AzureFormatTest, LoadSingleDay) {

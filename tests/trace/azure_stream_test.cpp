@@ -11,18 +11,13 @@
 #include <vector>
 
 #include "trace/azure_format.hpp"
+#include "support/temp_dir.hpp"
 
 namespace pulse::trace {
 namespace {
 
 class AzureStreamTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "pulse_azure_stream_test";
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   std::filesystem::path write(const std::string& name, const std::string& content) {
     const auto path = dir_ / name;
     std::ofstream os(path, std::ios::binary);
@@ -62,7 +57,8 @@ class AzureStreamTest : public ::testing::Test {
     EXPECT_EQ(streamed.duplicate_rows, batch.duplicate_rows);
   }
 
-  std::filesystem::path dir_;
+  test::ScopedTempDir tmp_;
+  std::filesystem::path dir_ = tmp_.path();
 };
 
 TEST_F(AzureStreamTest, ParseTraceFormatNames) {

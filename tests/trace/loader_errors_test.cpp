@@ -12,6 +12,7 @@
 #include "trace/errors.hpp"
 #include "trace/trace.hpp"
 #include "trace/validation.hpp"
+#include "support/temp_dir.hpp"
 
 namespace pulse::trace {
 namespace {
@@ -53,12 +54,6 @@ TEST(TraceError, ToStringCarriesFileLineAndMessage) {
 
 class LoaderErrorsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "pulse_loader_errors_test";
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   /// Writes an Azure day file with one function row whose minute-3 cell is
   /// `bad_cell` (all other minutes 0).
   std::filesystem::path write_azure_day(const std::string& name, const std::string& bad_cell) {
@@ -83,7 +78,8 @@ class LoaderErrorsTest : public ::testing::Test {
     return path;
   }
 
-  std::filesystem::path dir_;
+  test::ScopedTempDir tmp_;
+  std::filesystem::path dir_ = tmp_.path();
 };
 
 TEST_F(LoaderErrorsTest, AzureWellFormedFileLoads) {

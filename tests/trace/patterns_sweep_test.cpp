@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "trace/patterns.hpp"
@@ -44,6 +45,10 @@ struct ArchetypeCase {
   const char* label;
   PatternPtr (*make)();
 };
+
+// Without this, gtest prints the case as raw bytes, which include the two
+// pointers; the listed test names would then change with every process start.
+void PrintTo(const ArchetypeCase& c, std::ostream* os) { *os << c.label; }
 
 PatternPtr make_poisson() { return steady_poisson(0.3); }
 PatternPtr make_periodic() { return periodic(5, 1, 1, 0.05); }

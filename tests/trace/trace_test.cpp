@@ -4,6 +4,8 @@
 
 #include <filesystem>
 
+#include "support/temp_dir.hpp"
+
 namespace pulse::trace {
 namespace {
 
@@ -99,10 +101,10 @@ TEST(Trace, CsvRoundTrip) {
   t.set_count(0, 0, 1);
   t.set_count(1, 5, 7);
   t.set_function_name(1, "periodic fn");
-  const auto path = std::filesystem::temp_directory_path() / "pulse_trace_test.csv";
+  const test::ScopedTempDir tmp;
+  const auto path = tmp.path() / "trace.csv";
   t.save_csv(path);
   const Trace back = Trace::load_csv(path);
-  std::filesystem::remove(path);
 
   EXPECT_EQ(back.function_count(), 2u);
   EXPECT_EQ(back.duration(), 6);

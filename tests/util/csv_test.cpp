@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "support/temp_dir.hpp"
+
 namespace pulse::util {
 namespace {
 
@@ -134,7 +136,8 @@ TEST(CsvTable, SkipsBlankLines) {
 }
 
 TEST(CsvTable, FileRoundTrip) {
-  const auto path = std::filesystem::temp_directory_path() / "pulse_csv_test.csv";
+  const test::ScopedTempDir tmp;
+  const auto path = tmp.path() / "table.csv";
   CsvTable t({"k", "v"});
   t.add_row({"key", "value with \"quotes\" and ,commas,"});
   t.write_file(path);
@@ -142,7 +145,6 @@ TEST(CsvTable, FileRoundTrip) {
   const CsvTable back = CsvTable::read_file(path);
   ASSERT_EQ(back.row_count(), 1u);
   EXPECT_EQ(back.rows()[0][1], "value with \"quotes\" and ,commas,");
-  std::filesystem::remove(path);
 }
 
 TEST(CsvTable, ReadMissingFileThrows) {

@@ -7,17 +7,13 @@
 #include <string>
 #include <vector>
 
+#include "support/temp_dir.hpp"
+
 namespace pulse::util {
 namespace {
 
 class LineReaderTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "pulse_line_reader_test";
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   std::filesystem::path write(const std::string& name, const std::string& content) {
     const auto path = dir_ / name;
     std::ofstream os(path, std::ios::binary);
@@ -32,7 +28,8 @@ class LineReaderTest : public ::testing::Test {
     return lines;
   }
 
-  std::filesystem::path dir_;
+  test::ScopedTempDir tmp_;
+  std::filesystem::path dir_ = tmp_.path();
 };
 
 TEST_F(LineReaderTest, ReadsSimpleLines) {
