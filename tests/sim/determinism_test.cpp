@@ -20,9 +20,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 
 #include "policies/factory.hpp"
+#include "policies/icebreaker.hpp"
 #include "sim/engine.hpp"
 #include "sim/ensemble.hpp"
 #include "trace/workload.hpp"
@@ -81,12 +83,18 @@ struct GoldenCase {
   const char* policy;
   std::uint64_t seed;
   bool faults;
+  /// IceBreaker rows only: forecast through the sliding DFT. One day of
+  /// minutes fills the default 256-minute window, re-anchors once and runs
+  /// the recurrence between anchors, so both halves of the streaming path
+  /// reach the fingerprint.
+  bool streaming_dft = false;
 };
 
 constexpr GoldenCase kCases[] = {
     {"pulse", 101, false},          {"pulse", 202, true},
     {"milp", 101, true},            {"wild+pulse", 202, false},
     {"icebreaker+pulse", 101, false}, {"openwhisk", 202, true},
+    {"icebreaker", 101, false, true}, {"icebreaker+pulse", 202, true, true},
 };
 
 struct GoldenExpectation {
@@ -100,6 +108,18 @@ struct GoldenExpectation {
 constexpr GoldenExpectation kExpected[] = {
 #include "golden_fixtures.inc"
 };
+
+std::unique_ptr<KeepAlivePolicy> golden_policy(const GoldenCase& c) {
+  if (!c.streaming_dft) return policies::make_policy(c.policy);
+  policies::IceBreakerPolicy::Config icebreaker;
+  icebreaker.streaming_dft = true;
+  if (std::string(c.policy) == "icebreaker") {
+    return std::make_unique<policies::IceBreakerPolicy>(icebreaker);
+  }
+  policies::IceBreakerPulsePolicy::Config config;
+  config.icebreaker = icebreaker;
+  return std::make_unique<policies::IceBreakerPulsePolicy>(config);
+}
 
 RunResult golden_run(const GoldenCase& c) {
   trace::WorkloadConfig wc;
@@ -128,8 +148,7 @@ RunResult golden_run(const GoldenCase& c) {
   }
 
   SimulationEngine engine(deployment, workload.trace, config);
-  auto policy = policies::make_policy(c.policy);
-  return engine.run(*policy);
+  return engine.run(*golden_policy(c));
 }
 
 TEST(GoldenFixtures, RunResultBitwiseStable) {
@@ -137,16 +156,18 @@ TEST(GoldenFixtures, RunResultBitwiseStable) {
   static_assert(std::size(kCases) == std::size(kExpected));
   for (std::size_t i = 0; i < std::size(kCases); ++i) {
     const GoldenCase& c = kCases[i];
+    const char* const mode = c.streaming_dft ? " streaming-dft" : "";
     SCOPED_TRACE(std::string(c.policy) + " seed=" + std::to_string(c.seed) +
-                 (c.faults ? " faults" : " no-faults"));
+                 (c.faults ? " faults" : " no-faults") + mode);
     const RunResult r = golden_run(c);
     if (regen) {
-      std::printf("    {%a, %a, %lluu, %lluu, 0x%016llxULL},  // %s seed=%llu %s\n",
+      std::printf("    {%a, %a, %lluu, %lluu, 0x%016llxULL},  // %s seed=%llu %s%s\n",
                   r.total_service_time_s, r.total_keepalive_cost_usd,
                   static_cast<unsigned long long>(r.invocations),
                   static_cast<unsigned long long>(r.capacity_evictions),
                   static_cast<unsigned long long>(fingerprint(r)), c.policy,
-                  static_cast<unsigned long long>(c.seed), c.faults ? "faults" : "no-faults");
+                  static_cast<unsigned long long>(c.seed), c.faults ? "faults" : "no-faults",
+                  mode);
       continue;
     }
     const GoldenExpectation& e = kExpected[i];
