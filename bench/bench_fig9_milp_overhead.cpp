@@ -7,6 +7,11 @@
 
 #include "bench_common.hpp"
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <iterator>
+
 #include "core/global_optimizer.hpp"
 #include "core/interarrival.hpp"
 #include "policies/factory.hpp"
@@ -29,24 +34,37 @@ sim::EnsembleResult run_with_overhead(const exp::Scenario& scenario,
 }
 
 void print_overhead_histogram(const char* label, const std::vector<double>& ratios) {
-  // Log-scaled buckets over overhead/service-time, like the paper's x-axis.
+  // Log-scaled buckets over overhead/service-time, like the paper's x-axis,
+  // plus an open bucket at each end so every run is counted somewhere.
   static const double kEdges[] = {1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1};
-  constexpr std::size_t kBuckets = std::size(kEdges) - 1;
+  constexpr std::size_t kInner = std::size(kEdges) - 1;
+  constexpr std::size_t kBuckets = kInner + 2;  // [0] below 1e-7, [kInner+1] at or above 1e-1
   std::size_t counts[kBuckets] = {};
   for (double r : ratios) {
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      if (r >= kEdges[b] && r < kEdges[b + 1]) {
-        ++counts[b];
-        break;
-      }
-    }
+    const auto upper = std::upper_bound(std::begin(kEdges), std::end(kEdges), r);
+    ++counts[static_cast<std::size_t>(upper - std::begin(kEdges))];
+  }
+  std::size_t total = 0;
+  for (std::size_t c : counts) total += c;
+  if (total != ratios.size()) {
+    std::fprintf(stderr, "%s: histogram counted %zu of %zu runs\n", label, total,
+                 ratios.size());
+    std::abort();
   }
   std::size_t max_count = 1;
   for (std::size_t c : counts) max_count = std::max(max_count, c);
   std::printf("\n%s (overhead / service time, %zu runs):\n", label, ratios.size());
   for (std::size_t b = 0; b < kBuckets; ++b) {
-    std::printf("  [1e%+d, 1e%+d)  %4zu |%s|\n", static_cast<int>(b) - 7,
-                static_cast<int>(b) - 6, counts[b],
+    char range[32];
+    if (b == 0) {
+      std::snprintf(range, sizeof range, "< 1e-7");
+    } else if (b == kBuckets - 1) {
+      std::snprintf(range, sizeof range, ">= 1e-1");
+    } else {
+      std::snprintf(range, sizeof range, "[1e%+d, 1e%+d)", static_cast<int>(b) - 8,
+                    static_cast<int>(b) - 7);
+    }
+    std::printf("  %-14s %4zu |%s|\n", range, counts[b],
                 util::bar(static_cast<double>(counts[b]), static_cast<double>(max_count), 30)
                     .c_str());
   }

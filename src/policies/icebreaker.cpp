@@ -1,6 +1,7 @@
 #include "policies/icebreaker.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 #include "predict/divergence.hpp"
@@ -35,10 +36,16 @@ void IceBreakerPolicy::initialize(const sim::Deployment& deployment, const trace
   for (auto& series : history_) series.reserve(static_cast<std::size_t>(trace.duration()));
   current_minute_count_.assign(deployment.function_count(), 0);
   dfts_.clear();
+  dft_scratch_ = {};
   forecast_buffer_.clear();
   if (config_.streaming_dft) {
-    dfts_.assign(deployment.function_count(), predict::SlidingDft(config_.fft_window));
-    forecast_buffer_.assign(static_cast<std::size_t>(config_.refresh_interval), 0.0);
+    // One immutable table set for every function (and every checkpoint
+    // copy); per function only the window and its coefficients.
+    const auto horizon = static_cast<std::size_t>(config_.refresh_interval);
+    const auto tables = std::make_shared<const predict::DftTables>(config_.fft_window, horizon);
+    dfts_.assign(deployment.function_count(), predict::SlidingDft(tables));
+    dft_scratch_ = predict::DftScratch(config_.fft_window);
+    forecast_buffer_.assign(horizon, 0.0);
   }
 }
 
@@ -89,8 +96,9 @@ void IceBreakerPolicy::end_of_minute(trace::Minute t, sim::KeepAliveSchedule& sc
   (void)history;
   // Close the accounting for minute t.
   for (trace::FunctionId f = 0; f < history_.size(); ++f) {
-    history_[f].push_back(static_cast<double>(current_minute_count_[f]));
-    if (!dfts_.empty()) dfts_[f].push(static_cast<double>(current_minute_count_[f]));
+    const auto count = static_cast<double>(current_minute_count_[f]);
+    history_[f].push_back(count);
+    if (!dfts_.empty()) dfts_[f].push(count, dft_scratch_);
     current_minute_count_[f] = 0;
   }
 
@@ -108,9 +116,7 @@ void IceBreakerPolicy::end_of_minute(trace::Minute t, sim::KeepAliveSchedule& sc
       // Streaming path: the sliding DFT already tracks the last fft_window
       // minutes; extrapolate into the preallocated buffer, no allocation.
       const obs::PhaseTimer timer(profiler(), obs::Phase::kPredict);
-      dfts_[f].extrapolate_into(config_.harmonics,
-                                static_cast<std::size_t>(config_.refresh_interval),
-                                forecast_buffer_);
+      dfts_[f].extrapolate_into(config_.harmonics, forecast_buffer_, dft_scratch_);
       predict::ensure_finite(forecast_buffer_, "icebreaker/sliding-dft");
       apply_forecast(f, t, forecast_buffer_, schedule);
     } else {

@@ -81,6 +81,7 @@ class IceBreakerPolicy : public sim::KeepAlivePolicy {
   std::vector<std::vector<double>> history_;        // per function per-minute counts
   std::vector<std::uint32_t> current_minute_count_;  // accumulating minute t
   std::vector<predict::SlidingDft> dfts_;            // streaming_dft mode only
+  predict::DftScratch dft_scratch_;                  // shared by every dfts_[f]
   std::vector<double> forecast_buffer_;              // streaming forecast scratch
   obs::CounterHandle refreshes_;                     // icebreaker.refreshes
 };

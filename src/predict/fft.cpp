@@ -41,26 +41,35 @@ HarmonicModel fit_harmonics(std::span<const double> series, std::size_t harmonic
   for (std::size_t i = 0; i < series.size(); ++i) model.coeffs[i] = series[i];
   fft(model.coeffs, /*inverse=*/false);
 
-  // Rank positive-frequency bins by magnitude. Bin j and its conjugate
-  // mirror N-j are kept together so the reconstruction stays real.
-  std::vector<std::size_t> candidates;
-  for (std::size_t j = 1; j <= model.n_padded / 2; ++j) candidates.push_back(j);
-  std::sort(candidates.begin(), candidates.end(), [&](std::size_t a, std::size_t b) {
-    return std::abs(model.coeffs[a]) > std::abs(model.coeffs[b]);
-  });
-
-  model.bins.push_back(0);  // DC: the mean invocation level
-  const std::size_t keep = std::min(harmonics, candidates.size());
-  for (std::size_t k = 0; k < keep; ++k) {
-    const std::size_t j = candidates[k];
-    model.bins.push_back(j);
-    const std::size_t mirror = (model.n_padded - j) % model.n_padded;
-    if (mirror != j && mirror != 0) model.bins.push_back(mirror);
-  }
+  std::vector<double> magnitude(model.n_padded / 2 + 1);
+  for (std::size_t j = 1; j <= model.n_padded / 2; ++j) magnitude[j] = std::abs(model.coeffs[j]);
+  std::vector<std::size_t> rank;
+  select_harmonic_bins(magnitude, model.n_padded, harmonics, rank, model.bins);
   return model;
 }
 
 }  // namespace
+
+void select_harmonic_bins(std::span<const double> magnitude, std::size_t n,
+                          std::size_t harmonics, std::vector<std::size_t>& rank,
+                          std::vector<std::size_t>& bins) {
+  rank.clear();
+  for (std::size_t j = 1; j <= n / 2; ++j) rank.push_back(j);
+  // Reading cached magnitudes makes the same comparisons as ranking by
+  // std::abs(X) directly, so std::sort yields the same order, ties included.
+  std::sort(rank.begin(), rank.end(),
+            [&](std::size_t a, std::size_t b) { return magnitude[a] > magnitude[b]; });
+
+  bins.clear();
+  bins.push_back(0);  // DC: the mean invocation level
+  const std::size_t keep = std::min(harmonics, rank.size());
+  for (std::size_t k = 0; k < keep; ++k) {
+    const std::size_t j = rank[k];
+    bins.push_back(j);
+    const std::size_t mirror = (n - j) % n;
+    if (mirror != j && mirror != 0) bins.push_back(mirror);
+  }
+}
 
 std::size_t next_pow2(std::size_t n) noexcept {
   std::size_t p = 1;

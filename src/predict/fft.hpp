@@ -20,6 +20,18 @@ void fft(std::vector<std::complex<double>>& data, bool inverse = false);
 /// Largest power of two <= n (requires n >= 1).
 [[nodiscard]] std::size_t prev_pow2(std::size_t n) noexcept;
 
+/// Bin selection shared by the harmonic models (harmonic_extrapolate and
+/// SlidingDft). `magnitude[j]` holds |X_j| for the positive frequencies
+/// j in [1, n/2] of an n-point transform (index 0 is not read). Ranks
+/// those bins with std::sort, largest magnitude first, and writes into
+/// `bins` DC followed by the top `harmonics` bins, each followed by its
+/// conjugate mirror n-j when that is a distinct nonzero bin, so the
+/// reconstruction stays real. `rank` is workspace. Neither vector
+/// allocates when it already has capacity for n/2 resp. n+1 elements.
+void select_harmonic_bins(std::span<const double> magnitude, std::size_t n,
+                          std::size_t harmonics, std::vector<std::size_t>& rank,
+                          std::vector<std::size_t>& bins);
+
 /// Decomposes the largest power-of-two *suffix* of `series` into its
 /// Fourier coefficients, keeps only the DC term and the `harmonics`
 /// largest-magnitude frequency pairs, and evaluates the resulting

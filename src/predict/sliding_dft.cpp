@@ -1,92 +1,125 @@
 #include "predict/sliding_dft.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <utility>
 
 #include "predict/fft.hpp"
 
 namespace pulse::predict {
 
-SlidingDft::SlidingDft(std::size_t window, std::size_t refresh_interval)
+DftTables::DftTables(std::size_t window, std::size_t horizon)
     : window_(window),
-      refresh_interval_(refresh_interval == 0 ? window * 4 : refresh_interval),
-      samples_(window),
-      coeffs_(window, {0.0, 0.0}),
-      twiddles_(window),
-      fft_scratch_(window) {
+      horizon_(horizon),
+      twiddle_re_(window),
+      twiddle_im_(window),
+      eval_cos_(window * horizon),
+      eval_sin_(window * horizon) {
   if (window == 0 || (window & (window - 1)) != 0) {
-    throw std::invalid_argument("SlidingDft: window must be a power of two");
+    throw std::invalid_argument("DftTables: window must be a power of two");
   }
-  for (std::size_t k = 0; k < window_; ++k) {
-    const double angle = 2.0 * std::numbers::pi * static_cast<double>(k) /
-                         static_cast<double>(window_);
-    twiddles_[k] = {std::cos(angle), std::sin(angle)};
+  const double n = static_cast<double>(window);
+  for (std::size_t k = 0; k < window; ++k) {
+    const double angle = 2.0 * std::numbers::pi * static_cast<double>(k) / n;
+    twiddle_re_[k] = std::cos(angle);
+    twiddle_im_[k] = std::sin(angle);
   }
-  rank_scratch_.reserve(window_ / 2);
-  bins_scratch_.reserve(window_ + 1);
+  // The angle expression is harmonic_extrapolate's (fft.cpp), so a forecast
+  // read from the table is bit-identical to one that calls cos/sin itself.
+  for (std::size_t h = 0; h < horizon; ++h) {
+    const double index = n + static_cast<double>(h);
+    for (std::size_t j = 0; j < window; ++j) {
+      const double angle = 2.0 * std::numbers::pi * static_cast<double>(j) * index / n;
+      eval_cos_[h * window + j] = std::cos(angle);
+      eval_sin_[h * window + j] = std::sin(angle);
+    }
+  }
 }
 
-void SlidingDft::refresh() {
-  for (std::size_t i = 0; i < window_; ++i) fft_scratch_[i] = samples_[i];
-  fft(fft_scratch_, /*inverse=*/false);
-  std::copy(fft_scratch_.begin(), fft_scratch_.end(), coeffs_.begin());
+DftScratch::DftScratch(std::size_t window)
+    : fft_(window), magnitude_(window / 2 + 1) {
+  rank_.reserve(window / 2);
+  bins_.reserve(window + 1);
+}
+
+SlidingDft::SlidingDft(std::shared_ptr<const DftTables> tables, std::size_t refresh_interval)
+    : tables_(std::move(tables)),
+      refresh_interval_(refresh_interval == 0 ? window() * 4 : refresh_interval),
+      samples_(window()),
+      re_(window(), 0.0),
+      im_(window(), 0.0) {}
+
+void SlidingDft::check_scratch(const DftScratch& scratch) const {
+  if (scratch.window() != window()) {
+    throw std::invalid_argument("SlidingDft: scratch built for a different window");
+  }
+}
+
+void SlidingDft::refresh(DftScratch& scratch) {
+  const std::size_t n = window();
+  for (std::size_t i = 0; i < n; ++i) scratch.fft_[i] = samples_[i];
+  fft(scratch.fft_, /*inverse=*/false);
+  for (std::size_t k = 0; k < n; ++k) {
+    re_[k] = scratch.fft_[k].real();
+    im_[k] = scratch.fft_[k].imag();
+  }
   pushes_since_refresh_ = 0;
 }
 
-void SlidingDft::push(double x) {
+void SlidingDft::push(double x, DftScratch& scratch) {
+  check_scratch(scratch);
   ++total_pushed_;
-  if (samples_.size() < window_) {
+  const std::size_t n = window();
+  if (samples_.size() < n) {
     samples_.push_back(x);
-    if (samples_.size() == window_) refresh();  // anchor the recurrence
+    if (samples_.size() == n) refresh(scratch);  // anchor the recurrence
     return;
   }
 
   const double x_old = samples_.front();
   samples_.pop_front();
   samples_.push_back(x);
-  const std::complex<double> delta(x - x_old, 0.0);
-  for (std::size_t k = 0; k < window_; ++k) {
-    coeffs_[k] = (coeffs_[k] + delta) * twiddles_[k];
+  // (X_k + delta) * w_k with delta = (x - x_old) + 0i, written out in the
+  // operation order of std::complex's add and multiply. The imaginary
+  // "+ 0.0" stays: it turns -0.0 into +0.0 exactly as the complex add does.
+  const double d = x - x_old;
+  const double* const wr = tables_->twiddle_re_.data();
+  const double* const wi = tables_->twiddle_im_.data();
+  double* const re = re_.data();
+  double* const im = im_.data();
+  for (std::size_t k = 0; k < n; ++k) {
+    const double xr = re[k] + d;
+    const double xi = im[k] + 0.0;
+    re[k] = xr * wr[k] - xi * wi[k];
+    im[k] = xr * wi[k] + xi * wr[k];
   }
-  if (++pushes_since_refresh_ >= refresh_interval_) refresh();
+  if (++pushes_since_refresh_ >= refresh_interval_) refresh(scratch);
 }
 
-void SlidingDft::extrapolate_into(std::size_t harmonics, std::size_t horizon,
-                                  std::vector<double>& out) const {
+void SlidingDft::extrapolate_into(std::size_t harmonics, std::vector<double>& out,
+                                  DftScratch& scratch) const {
   if (!ready()) throw std::logic_error("SlidingDft::extrapolate_into: window not full");
+  const std::size_t n = window();
+  const std::size_t horizon = tables_->horizon();
   if (out.size() < horizon) {
     throw std::invalid_argument("SlidingDft::extrapolate_into: out buffer too small");
   }
+  check_scratch(scratch);
 
-  // Bin selection identical to fit_harmonics (fft.cpp): rank the positive
-  // frequencies by magnitude, keep DC plus the top `harmonics` with their
-  // conjugate mirrors.
-  rank_scratch_.clear();
-  for (std::size_t j = 1; j <= window_ / 2; ++j) rank_scratch_.push_back(j);
-  std::sort(rank_scratch_.begin(), rank_scratch_.end(), [&](std::size_t a, std::size_t b) {
-    return std::abs(coeffs_[a]) > std::abs(coeffs_[b]);
-  });
-  bins_scratch_.clear();
-  bins_scratch_.push_back(0);
-  const std::size_t keep = std::min(harmonics, rank_scratch_.size());
-  for (std::size_t k = 0; k < keep; ++k) {
-    const std::size_t j = rank_scratch_[k];
-    bins_scratch_.push_back(j);
-    const std::size_t mirror = (window_ - j) % window_;
-    if (mirror != j && mirror != 0) bins_scratch_.push_back(mirror);
+  for (std::size_t j = 1; j <= n / 2; ++j) {
+    scratch.magnitude_[j] = std::abs(std::complex<double>(re_[j], im_[j]));
   }
+  select_harmonic_bins(scratch.magnitude_, n, harmonics, scratch.rank_, scratch.bins_);
 
-  const double n = static_cast<double>(window_);
+  // Real part of sum_j X_j * (cos + i sin), accumulated in bin order from
+  // 0.0 exactly as the complex accumulation of harmonic_extrapolate does.
   for (std::size_t h = 0; h < horizon; ++h) {
-    const double index = n + static_cast<double>(h);
-    std::complex<double> acc{0.0, 0.0};
-    for (std::size_t j : bins_scratch_) {
-      const double angle = 2.0 * std::numbers::pi * static_cast<double>(j) * index / n;
-      acc += coeffs_[j] * std::complex<double>(std::cos(angle), std::sin(angle));
-    }
-    out[h] = acc.real() / n;
+    const double* const c = tables_->eval_cos_.data() + h * n;
+    const double* const s = tables_->eval_sin_.data() + h * n;
+    double acc = 0.0;
+    for (std::size_t j : scratch.bins_) acc += re_[j] * c[j] - im_[j] * s[j];
+    out[h] = acc / static_cast<double>(n);
   }
 }
 

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <numbers>
 #include <span>
 #include <stdexcept>
@@ -109,16 +112,18 @@ TEST(StreamingEquivalence, SlidingDftExactAtEveryPushWithUnitRefresh) {
   constexpr std::size_t kHorizon = 16;
   const std::vector<double> signal = make_signal(300, 31);
 
-  SlidingDft dft(kWindow, 1);
+  SlidingDft dft(std::make_shared<const DftTables>(kWindow, kHorizon), 1);
+  DftScratch scratch(kWindow);
   std::vector<double> out(kHorizon, 0.0);
   for (std::size_t i = 0; i < signal.size(); ++i) {
-    dft.push(signal[i]);
+    dft.push(signal[i], scratch);
     if (!dft.ready()) continue;
     const std::span<const double> window(signal.data() + i + 1 - kWindow, kWindow);
     const std::vector<double> batch = harmonic_extrapolate(window, kHarmonics, kHorizon);
-    dft.extrapolate_into(kHarmonics, kHorizon, out);
+    dft.extrapolate_into(kHarmonics, out, scratch);
     for (std::size_t h = 0; h < kHorizon; ++h) {
-      ASSERT_DOUBLE_EQ(out[h], batch[h]) << "i=" << i << " h=" << h;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(out[h]), std::bit_cast<std::uint64_t>(batch[h]))
+          << "i=" << i << " h=" << h << ": " << out[h] << " vs " << batch[h];
     }
   }
 }
@@ -129,14 +134,15 @@ TEST(StreamingEquivalence, SlidingDftDefaultRefreshStaysWithinTolerance) {
   constexpr std::size_t kHorizon = 16;
   const std::vector<double> signal = make_signal(2000, 41);
 
-  SlidingDft dft(kWindow);  // default refresh: 4x window
+  SlidingDft dft(std::make_shared<const DftTables>(kWindow, kHorizon));  // refresh: 4x window
+  DftScratch scratch(kWindow);
   std::vector<double> out(kHorizon, 0.0);
   for (std::size_t i = 0; i < signal.size(); ++i) {
-    dft.push(signal[i]);
+    dft.push(signal[i], scratch);
     if (!dft.ready()) continue;
     const std::span<const double> window(signal.data() + i + 1 - kWindow, kWindow);
     const std::vector<double> batch = harmonic_extrapolate(window, kHarmonics, kHorizon);
-    dft.extrapolate_into(kHarmonics, kHorizon, out);
+    dft.extrapolate_into(kHarmonics, out, scratch);
     for (std::size_t h = 0; h < kHorizon; ++h) {
       ASSERT_NEAR(out[h], batch[h], 1e-6 * std::max(1.0, std::abs(batch[h])))
           << "i=" << i << " h=" << h;
@@ -145,7 +151,7 @@ TEST(StreamingEquivalence, SlidingDftDefaultRefreshStaysWithinTolerance) {
 }
 
 TEST(StreamingEquivalence, SlidingDftRejectsNonPow2Window) {
-  EXPECT_THROW(SlidingDft(100), std::invalid_argument);
+  EXPECT_THROW(DftTables(100, 10), std::invalid_argument);
 }
 
 TEST(StreamingEquivalence, HybridStreamingArTracksBatchPredictor) {
